@@ -136,7 +136,7 @@ fn run_worker(scenario: &Scenario, dir: &Path, worker_id: usize, inject: Injecti
     base_pc.obs = obs.clone();
     let base = Pipeline::new(spec.clone(), registry.clone(), base_pc).expect("bench mapping");
     let (graph, check_seconds) = base.check();
-    let (paths, _ec, _ecpor, _excl) = base.generate_paths(&graph);
+    let prepared = base.prepare(&graph);
 
     let run_cfg = RunConfig::fast();
     let spec_name = spec.name().to_string();
@@ -153,7 +153,7 @@ fn run_worker(scenario: &Scenario, dir: &Path, worker_id: usize, inject: Injecti
         spec_name: &spec_name,
         spec_config: "target=xraft bug=-",
         run: &run_cfg,
-        paths: &paths,
+        prepared: &prepared,
         check_seconds,
     };
     let build = |setup: &ShardSetup| {

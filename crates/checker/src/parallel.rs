@@ -42,7 +42,6 @@
 //! fast as the purely sequential path.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Instant;
 
 use mocket_tla::{successors_with, ActionDef, ActionInstance, State};
 use parking_lot::Mutex;
@@ -250,10 +249,14 @@ fn expand_wave(
 
     let mut wave_tallies = vec![WorkerStats::default(); workers];
     let obs = &checker.obs;
+    let clock = checker.clock.as_ref();
     std::thread::scope(|scope| {
         for tally in &mut wave_tallies {
             scope.spawn(move || {
-                let started = Instant::now();
+                // On the builder's clock: a simulation run's virtual
+                // clock stands still here, so no host timing leaks
+                // into its summary whatever the worker count.
+                let started = clock.now();
                 loop {
                     let ci = cursor_ref.fetch_add(1, Ordering::Relaxed);
                     if ci >= n_chunks {
@@ -271,7 +274,7 @@ fn expand_wave(
                 // wall-clock territory (commutative histogram merge,
                 // excluded from deterministic comparisons); worker
                 // threads never record events.
-                let secs = started.elapsed().as_secs_f64();
+                let secs = clock.now().saturating_sub(started).as_secs_f64();
                 if secs > 0.0 && tally.states_generated > 0 {
                     obs.metrics().observe(
                         "timing.checker.worker_wave_states_per_sec",
@@ -468,6 +471,36 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn two_workers_on_a_sim_clock_leak_no_host_time() {
+        use mocket_obs::Obs;
+        use mocket_sim::SimClock;
+        // Pinned to two workers so the host's core count cannot decide
+        // whether the fan-out path is exercised: this grid's widest
+        // waves reach `2 * SEQ_WAVE_FACTOR` nodes, so they go to the
+        // threads (which thread drains them is up to the scheduler).
+        let run = || {
+            let (obs, _rec) = Obs::in_memory();
+            let result = ModelChecker::new(Arc::new(Grid { limit: 12 }))
+                .workers(2)
+                .obs(obs.clone())
+                .clock(Arc::new(SimClock::new()))
+                .run();
+            (result, obs.metrics().snapshot())
+        };
+        let (result, a) = run();
+        assert_eq!(result.stats.per_worker.len(), 2);
+        assert!(
+            result.stats.per_worker.iter().any(|w| w.nodes_expanded > 0),
+            "{:?}",
+            result.stats.per_worker
+        );
+        let (_, b) = run();
+        // Timing histograms included: on a virtual clock the whole
+        // metrics snapshot is a pure function of the model.
+        assert_eq!(a, b);
     }
 
     #[test]

@@ -46,8 +46,8 @@ pub use mapping::{
 pub use minimize::{minimize_case, weaken, MinimizeConfig, Minimized};
 pub use msgpool::{MessagePools, PoolError};
 pub use pipeline::{
-    AttemptRecord, CaseGate, Pipeline, PipelineConfig, PipelineResult, QuarantinedCase,
-    RetryPolicy, TestingEffort, TriageConfig,
+    AttemptRecord, CaseGate, Pipeline, PipelineConfig, PipelineResult, PreparedCases,
+    QuarantinedCase, RetryPolicy, TestingEffort, TriageConfig,
 };
 pub use por::{partial_order_reduction, Diamond, PorResult};
 pub use report::{BugClass, BugReport, Determinism, Inconsistency, VariableDivergence};

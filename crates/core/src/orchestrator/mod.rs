@@ -19,10 +19,22 @@
 //! <dir>/shards/shard-<s>.lease  work-queue lease (pid + heartbeat)
 //! <dir>/shards/shard-<s>.done   shard retirement marker
 //! <dir>/shards/shard-<s>/       shard journal + replay artifacts
-//! <dir>/worker-<id>/            per-worker obs stream + log
+//! <dir>/worker-<id>/            events.jsonl + worker.log, nothing else
 //! <dir>/quarantine/             poison cases (crashes.log, artifacts)
 //! <dir>/journal.log ...         canonical merged outputs
 //! ```
+//!
+//! Each worker prepares the case set once per process
+//! ([`Pipeline::prepare`](crate::Pipeline::prepare)) and runs every
+//! claimed shard through [`Pipeline::run_cases`](crate::Pipeline::run_cases)
+//! only, so the insight artifacts (`run-summary.json`, `coverage.json`,
+//! `coverage.dot`, `uncovered-edges.txt`, `campaign-history.jsonl`)
+//! are written by the merge alone.
+//!
+//! Waits wake on events: a lease's heartbeat thread stops as soon as
+//! the shard is retired or released, an idle worker rescans after a
+//! capped-doubling backoff (1 ms up to one heartbeat). The supervisor
+//! notices exits on its 100 ms tick.
 
 mod lease;
 mod lock;

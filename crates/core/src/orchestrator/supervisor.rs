@@ -37,7 +37,9 @@ use crate::fsio::points;
 use crate::fsio::RetryPolicy;
 
 use super::lease::{done_path, lease_path, shards_dir, LeaseConfig, LeaseInfo};
-use super::procs::{install_sigint_flag, same_process, self_token, send_signal, SIGKILL};
+use super::procs::{
+    install_sigint_flag, proc_start_token, same_process, self_token, send_signal, SIGKILL,
+};
 use super::worker::{drain_requested, request_drain};
 
 /// Worker exit code declaring the pinned plan inconsistent with what
@@ -466,6 +468,18 @@ pub fn supervise(
         plan: cfg.plan_hash.clone(),
     });
 
+    let mut launch = |id: usize| -> io::Result<WorkerProc> {
+        let child = spawn_worker(id)?;
+        let pid = child.id();
+        let _ = journal.append(&SupervisorEvent::Spawn {
+            worker: id,
+            pid,
+            token: proc_start_token(pid),
+            plan: cfg.plan_hash.clone(),
+        });
+        Ok(WorkerProc::Child(child))
+    };
+
     let mut adopted_total = 0usize;
     let mut slots: Vec<Slot> = Vec::with_capacity(cfg.workers.max(1));
     for id in 0..cfg.workers.max(1) {
@@ -485,17 +499,7 @@ pub fn supervise(
                 });
                 WorkerProc::Adopted { pid, token }
             }
-            None => {
-                let child = spawn_worker(id)?;
-                let pid = child.id();
-                let _ = journal.append(&SupervisorEvent::Spawn {
-                    worker: id,
-                    pid,
-                    token: super::procs::proc_start_token(pid),
-                    plan: cfg.plan_hash.clone(),
-                });
-                WorkerProc::Child(child)
-            }
+            None => launch(id)?,
         };
         slots.push(Slot {
             proc: Some(proc),
@@ -582,15 +586,7 @@ pub fn supervise(
                             slot.next_restart = None;
                             slot.restarts += 1;
                             restarts_total += 1;
-                            let child = spawn_worker(id)?;
-                            let pid = child.id();
-                            let _ = journal.append(&SupervisorEvent::Spawn {
-                                worker: id,
-                                pid,
-                                token: super::procs::proc_start_token(pid),
-                                plan: cfg.plan_hash.clone(),
-                            });
-                            slot.proc = Some(WorkerProc::Child(child));
+                            slot.proc = Some(launch(id)?);
                         }
                     }
                 }
@@ -708,15 +704,7 @@ pub fn supervise(
                 slot.finished = false;
                 slot.restarts += 1;
                 restarts_total += 1;
-                let child = spawn_worker(id)?;
-                let pid = child.id();
-                let _ = journal.append(&SupervisorEvent::Spawn {
-                    worker: id,
-                    pid,
-                    token: super::procs::proc_start_token(pid),
-                    plan: cfg.plan_hash.clone(),
-                });
-                slot.proc = Some(WorkerProc::Child(child));
+                slot.proc = Some(launch(id)?);
             } else if fatal.is_none() {
                 return Ok(CampaignOutcome {
                     drained: false,

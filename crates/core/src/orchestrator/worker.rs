@@ -3,11 +3,15 @@
 //!
 //! A worker is one crash-isolated process (the hidden
 //! `mocket-cli campaign-worker` subcommand). It model-checks the spec
-//! once, verifies its regenerated case set against the pinned plan,
-//! then loops: claim a shard (fresh or stolen), run exactly that
-//! case-index window via [`Pipeline::run_prepared`] with a per-case
-//! gate, retire the shard, repeat until every shard is done or a
-//! drain is requested.
+//! and prepares the case set once ([`Pipeline::prepare`]), verifies it
+//! against the pinned plan, then loops: claim a shard (fresh or
+//! stolen), run exactly that case-index window via
+//! [`Pipeline::run_cases`] with a per-case gate, retire the shard,
+//! repeat until every shard is done or a drain is requested. Shards
+//! write no insight artifacts — the merge derives those for the whole
+//! campaign. When every open shard is leased by a peer, the worker
+//! rescans after a capped-doubling idle wait (1 ms up to one
+//! heartbeat, reset whenever it claims a shard).
 //!
 //! Crash attribution: when a worker steals a stale lease it reads the
 //! victim's in-flight case from the lease body and records a crash in
@@ -24,14 +28,15 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::time::Duration;
 
-use mocket_checker::{EdgeId, StateGraph};
+use mocket_checker::StateGraph;
 use mocket_tla::ActionInstance;
 
 use crate::artifact::{CampaignJournal, ReplayArtifact};
-use crate::pipeline::{CaseGate, Pipeline, PipelineResult};
+use crate::pipeline::{CaseGate, Pipeline, PipelineResult, PreparedCases};
 use crate::report::{Determinism, Inconsistency};
-use crate::runner::RunConfig;
+use crate::runner::{capped_doubling, RunConfig};
 use crate::sut::SystemUnderTest;
 use crate::testcase::TestCase;
 
@@ -355,7 +360,7 @@ pub struct WorkerConfig {
 
 /// Everything a worker needs besides the config: the pinned plan and
 /// the deterministically regenerated model artifacts it was verified
-/// against.
+/// against, prepared once per worker process.
 pub struct WorkerContext<'a> {
     /// The pinned campaign plan.
     pub plan: &'a CampaignPlan,
@@ -365,8 +370,9 @@ pub struct WorkerContext<'a> {
     pub spec_config: &'a str,
     /// Runner config recorded in quarantine artifacts.
     pub run: &'a RunConfig,
-    /// The selected edge paths, by plan index.
-    pub paths: &'a [Vec<EdgeId>],
+    /// The prepared case set (selected edge paths by plan index, plus
+    /// traversal counts) — every shard runs a window of it.
+    pub prepared: &'a PreparedCases,
     /// Model-checking seconds spent building the graph (folded into
     /// per-shard wall totals).
     pub check_seconds: f64,
@@ -450,7 +456,7 @@ fn poison_artifact(
     idx: usize,
     victim: &LeaseInfo,
 ) -> Option<ReplayArtifact> {
-    let path = ctx.paths.get(idx)?;
+    let path = ctx.prepared.paths.get(idx)?;
     let tc = TestCase::from_edge_path(graph, path)?;
     let (&first, &last) = (path.first()?, path.last()?);
     let final_enabled: Vec<ActionInstance> = graph
@@ -484,7 +490,8 @@ fn poison_artifact(
 
 /// The worker's main loop: claim shards (stealing stale leases and
 /// attributing crashes), run each through `build_pipeline(setup)`'s
-/// pipeline, retire them, until all shards are done or a drain lands.
+/// [`Pipeline::run_cases`] against `ctx.prepared`, retire them, until
+/// all shards are done or a drain lands.
 pub fn worker_loop<BP, MS>(
     cfg: &WorkerConfig,
     ctx: &WorkerContext<'_>,
@@ -497,6 +504,8 @@ where
     MS: FnMut() -> Box<dyn SystemUnderTest>,
 {
     let shard_count = ctx.plan.shard_count();
+    let idle_backoff = || capped_doubling(Duration::from_millis(1), cfg.lease.heartbeat);
+    let mut idle = idle_backoff();
     loop {
         if drain_requested(&cfg.campaign_dir) {
             return Ok(WorkerOutcome::Drained);
@@ -581,7 +590,7 @@ where
                 lock_conflict,
                 stopped_by_gate,
                 ..
-            } = pipeline.run_prepared(graph, ctx.check_seconds, &mut make_sut);
+            } = pipeline.run_cases(graph, ctx.prepared, ctx.check_seconds, &mut make_sut);
             graph = g;
             if let Some(conflict) = lock_conflict {
                 // The shard journal is still locked — most likely the
@@ -604,10 +613,15 @@ where
         if all_done {
             return Ok(WorkerOutcome::Completed);
         }
-        if !progressed {
+        if progressed {
+            idle = idle_backoff();
+        } else {
             // Everything claimable is busy (or waiting out a lock):
-            // idle one heartbeat before rescanning.
-            std::thread::sleep(cfg.lease.heartbeat);
+            // back off before rescanning. A peer's shard usually
+            // retires within milliseconds; a stale one only becomes
+            // stealable after the TTL, so the wait doubles up to one
+            // heartbeat.
+            std::thread::sleep(idle.next().expect("capped_doubling never ends"));
         }
     }
 }

@@ -8,6 +8,7 @@
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::Arc;
+use std::time::Duration;
 
 use mocket_sim::{Clock, RealClock};
 
@@ -294,12 +295,12 @@ pub struct PipelineResult {
     /// failed appends, failed artifact writes. Surfaced, never
     /// aborting the campaign.
     pub journal_issues: Vec<String>,
-    /// The end-of-run summary (also written as `run-summary.json` when
-    /// an obs or campaign directory is configured).
+    /// The end-of-run summary (written as `run-summary.json` by
+    /// [`Pipeline::run_prepared`] and [`Pipeline::run`]).
     pub summary: RunSummary,
-    /// Per-edge/per-action hit counts over the campaign (also written
-    /// as `coverage.json`, `coverage.dot` and `uncovered-edges.txt`
-    /// when an obs or campaign directory is configured).
+    /// Per-edge/per-action hit counts over the campaign (written as
+    /// `coverage.json`, `coverage.dot` and `uncovered-edges.txt` by
+    /// [`Pipeline::run_prepared`] and [`Pipeline::run`]).
     pub coverage: CoverageMap,
     /// Enabled-but-never-scheduled edges: the uncovered frontier the
     /// next campaign should prioritize.
@@ -312,6 +313,23 @@ pub struct PipelineResult {
     /// The case gate returned [`CaseGate::Stop`]: the run ended early
     /// at a case boundary (a drain), leaving later cases untouched.
     pub stopped_by_gate: bool,
+}
+
+/// The output of [`Pipeline::prepare`]: the selected edge paths, by
+/// case index, plus the traversal counts every run reports.
+#[derive(Debug, Clone)]
+pub struct PreparedCases {
+    /// Selected edge paths; cases are materialized from them lazily.
+    pub paths: Vec<Vec<EdgeId>>,
+    /// Paths generated with edge coverage only.
+    pub paths_ec: usize,
+    /// Paths with edge coverage + POR.
+    pub paths_ec_por: usize,
+    /// Edges excluded by POR.
+    pub por_excluded: usize,
+    /// Time the preparation took on the pipeline clock (folded into
+    /// `timing.stage.total_seconds`).
+    pub generate: Duration,
 }
 
 /// Folds one disposed case (run, journal-skipped or quarantined) into
@@ -490,22 +508,39 @@ impl Pipeline {
         self.run_prepared(graph, check_seconds, make_sut)
     }
 
-    /// Stage ④ against an already-checked graph. Campaign workers
-    /// model-check once per process and then drive one shard at a time
-    /// through this entry point; `check_seconds` is folded into the
-    /// reported wall totals.
+    /// Stage ④ against an already-checked graph: the composition of
+    /// three named stages, [`prepare`](Self::prepare) (traversal + POR,
+    /// the `generate.done` event), [`run_cases`](Self::run_cases)
+    /// (controlled testing of the selected window) and
+    /// `write_insights` (`run-summary.json`,
+    /// `coverage.json`, `uncovered-edges.txt`, `coverage.dot`,
+    /// `campaign-history.jsonl`). `check_seconds` is folded into the
+    /// reported wall totals. Campaign workers prepare once per process
+    /// and run each shard through `run_cases` alone; the merge derives
+    /// the campaign's insight artifacts.
     pub fn run_prepared<F>(
         &self,
         graph: StateGraph,
         check_seconds: f64,
-        mut make_sut: F,
+        make_sut: F,
     ) -> PipelineResult
     where
         F: FnMut() -> Box<dyn SystemUnderTest>,
     {
-        let obs = self.config.obs.clone();
-        let run_start = self.config.clock.now();
-        let (paths, paths_ec, paths_ec_por, por_excluded) = self.generate_paths(&graph);
+        let prepared = self.prepare(&graph);
+        let mut result = self.run_cases(graph, &prepared, check_seconds, make_sut);
+        if result.lock_conflict.is_none() {
+            self.write_insights(&mut result);
+        }
+        result
+    }
+
+    /// Stage ③ as the first step of a run: generates the selected
+    /// paths and announces them with the `generate.done` event.
+    pub fn prepare(&self, graph: &StateGraph) -> PreparedCases {
+        let obs = &self.config.obs;
+        let start = self.config.clock.now();
+        let (paths, paths_ec, paths_ec_por, por_excluded) = self.generate_paths(graph);
         let cases_selected = paths.len();
 
         let m = obs.metrics();
@@ -536,6 +571,39 @@ impl Pipeline {
             cases_selected,
             m.gauge("coverage.fraction").unwrap_or(0.0) * 100.0
         ));
+        PreparedCases {
+            paths,
+            paths_ec,
+            paths_ec_por,
+            por_excluded,
+            generate: self.config.clock.now().saturating_sub(start),
+        }
+    }
+
+    /// Controlled testing of `prepared`'s cases (restricted to
+    /// [`PipelineConfig::case_range`]): journal resume, per-case retry,
+    /// triage and artifacts, then the in-memory summary and coverage.
+    /// Writes no insight artifacts: those are
+    /// [`run_prepared`](Self::run_prepared)'s last stage.
+    pub fn run_cases<F>(
+        &self,
+        graph: StateGraph,
+        prepared: &PreparedCases,
+        check_seconds: f64,
+        mut make_sut: F,
+    ) -> PipelineResult
+    where
+        F: FnMut() -> Box<dyn SystemUnderTest>,
+    {
+        let obs = self.config.obs.clone();
+        let &PreparedCases {
+            ref paths,
+            paths_ec,
+            paths_ec_por,
+            por_excluded,
+            generate,
+        } = prepared;
+        let cases_selected = paths.len();
 
         let mut reports = Vec::new();
         let mut quarantined = Vec::new();
@@ -1034,12 +1102,8 @@ impl Pipeline {
             quarantined.len()
         ));
 
-        let run_seconds = self
-            .config
-            .clock
-            .now()
-            .saturating_sub(run_start)
-            .as_secs_f64();
+        let run_seconds =
+            (generate + self.config.clock.now().saturating_sub(test_start)).as_secs_f64();
         let m = obs.metrics();
         m.observe("timing.stage.test_seconds", effort.test_seconds);
         m.observe("timing.stage.total_seconds", check_seconds + run_seconds);
@@ -1085,79 +1149,6 @@ impl Pipeline {
         let frontier = uncovered_frontier(&graph, coverage.edge_hits());
         m.set_gauge("coverage.frontier_edges", frontier.len() as f64);
 
-        // The summary and the insight artifacts land next to
-        // events.jsonl when obs streams to a directory, otherwise next
-        // to the replay artifacts.
-        let out_dir = obs
-            .dir()
-            .map(|d| d.to_path_buf())
-            .or_else(|| self.config.triage.campaign_dir.clone());
-        if let Some(dir) = &out_dir {
-            if let Err(e) = summary.write_to(dir) {
-                journal_issues.push(format!("run summary write failed: {e}"));
-            }
-            for (name, content) in [
-                (COVERAGE_FILE_NAME, coverage.to_json()),
-                (UNCOVERED_FILE_NAME, coverage.uncovered_listing()),
-                (
-                    COVERAGE_DOT_FILE_NAME,
-                    to_dot_overlay(&graph, coverage.edge_hits()),
-                ),
-            ] {
-                if let Err(e) = crate::fsio::write_atomic(
-                    dir,
-                    name,
-                    content.as_bytes(),
-                    crate::fsio::points::INSIGHT_WRITE,
-                    &RetryPolicy::io(),
-                ) {
-                    journal_issues.push(format!("{name} write failed: {e}"));
-                }
-            }
-            match CampaignHistory::open(dir) {
-                Ok(mut history) => {
-                    journal_issues.extend(history.issues().iter().map(|i| i.to_string()));
-                    let record = CampaignRecord {
-                        seq: history.next_seq(),
-                        spec: summary.spec.clone(),
-                        states: summary.states,
-                        edges: summary.edges,
-                        coverage_edges_visited: summary.coverage_edges_visited,
-                        coverage_edge_targets: summary.coverage_edge_targets,
-                        coverage: summary.coverage,
-                        cases_selected: summary.cases_selected,
-                        cases_run: summary.cases_run,
-                        cases_passed: summary.cases_passed,
-                        cases_failed: summary.cases_failed,
-                        cases_quarantined: summary.cases_quarantined,
-                        cases_skipped_from_journal: summary.cases_skipped_from_journal,
-                        bugs_by_kind: summary.bugs_by_kind.clone(),
-                        bugs_by_determinism: summary.bugs_by_determinism.clone(),
-                        shrink_original_actions: reports
-                            .iter()
-                            .filter(|r| r.minimized.is_some())
-                            .map(|r| r.test_case.len() as u64)
-                            .sum(),
-                        shrink_minimized_actions: reports
-                            .iter()
-                            .filter_map(|r| r.minimized.as_ref())
-                            .map(|min| min.len() as u64)
-                            .sum(),
-                        uncovered_frontier_edges: frontier.len() as u64,
-                        wall_checker_states_per_sec: if check_seconds > 0.0 {
-                            summary.states as f64 / check_seconds
-                        } else {
-                            0.0
-                        },
-                        wall_total_seconds: summary.wall_total_seconds,
-                    };
-                    if let Err(e) = history.append(record) {
-                        journal_issues.push(format!("campaign history append failed: {e}"));
-                    }
-                }
-                Err(e) => journal_issues.push(format!("campaign history unavailable: {e}")),
-            }
-        }
         obs.flush();
 
         PipelineResult {
@@ -1175,6 +1166,99 @@ impl Pipeline {
             frontier,
             lock_conflict: None,
             stopped_by_gate,
+        }
+    }
+
+    /// Writes a finished run's insight artifacts — `run-summary.json`,
+    /// `coverage.json`, `uncovered-edges.txt`, `coverage.dot` and a
+    /// `campaign-history.jsonl` record — next to `events.jsonl` when
+    /// obs streams to a directory, otherwise next to the replay
+    /// artifacts (nowhere when neither is configured). Write failures
+    /// are appended to `result.journal_issues`, never fatal.
+    fn write_insights(&self, result: &mut PipelineResult) {
+        let out_dir = self
+            .config
+            .obs
+            .dir()
+            .map(|d| d.to_path_buf())
+            .or_else(|| self.config.triage.campaign_dir.clone());
+        let Some(dir) = &out_dir else {
+            return;
+        };
+        let PipelineResult {
+            graph,
+            reports,
+            effort,
+            journal_issues,
+            summary,
+            coverage,
+            frontier,
+            ..
+        } = result;
+        if let Err(e) = summary.write_to(dir) {
+            journal_issues.push(format!("run summary write failed: {e}"));
+        }
+        for (name, content) in [
+            (COVERAGE_FILE_NAME, coverage.to_json()),
+            (UNCOVERED_FILE_NAME, coverage.uncovered_listing()),
+            (
+                COVERAGE_DOT_FILE_NAME,
+                to_dot_overlay(graph, coverage.edge_hits()),
+            ),
+        ] {
+            if let Err(e) = crate::fsio::write_atomic(
+                dir,
+                name,
+                content.as_bytes(),
+                crate::fsio::points::INSIGHT_WRITE,
+                &RetryPolicy::io(),
+            ) {
+                journal_issues.push(format!("{name} write failed: {e}"));
+            }
+        }
+        let check_seconds = effort.check_seconds;
+        match CampaignHistory::open(dir) {
+            Ok(mut history) => {
+                journal_issues.extend(history.issues().iter().map(|i| i.to_string()));
+                let record = CampaignRecord {
+                    seq: history.next_seq(),
+                    spec: summary.spec.clone(),
+                    states: summary.states,
+                    edges: summary.edges,
+                    coverage_edges_visited: summary.coverage_edges_visited,
+                    coverage_edge_targets: summary.coverage_edge_targets,
+                    coverage: summary.coverage,
+                    cases_selected: summary.cases_selected,
+                    cases_run: summary.cases_run,
+                    cases_passed: summary.cases_passed,
+                    cases_failed: summary.cases_failed,
+                    cases_quarantined: summary.cases_quarantined,
+                    cases_skipped_from_journal: summary.cases_skipped_from_journal,
+                    bugs_by_kind: summary.bugs_by_kind.clone(),
+                    bugs_by_determinism: summary.bugs_by_determinism.clone(),
+                    shrink_original_actions: reports
+                        .iter()
+                        .filter(|r| r.minimized.is_some())
+                        .map(|r| r.test_case.len() as u64)
+                        .sum(),
+                    shrink_minimized_actions: reports
+                        .iter()
+                        .filter_map(|r| r.minimized.as_ref())
+                        .map(|min| min.len() as u64)
+                        .sum(),
+                    uncovered_frontier_edges: frontier.len() as u64,
+                    wall_checker_states_per_sec: if check_seconds > 0.0 {
+                        summary.states as f64 / check_seconds
+                    } else {
+                        0.0
+                    },
+                    wall_total_seconds: summary.wall_total_seconds,
+                };
+                if let Err(e) = history.append(record) {
+                    journal_issues.push(format!("campaign history append failed: {e}"));
+                }
+            }
+            Err(e) => journal_issues.push(format!("campaign history unavailable: {e}")),
         }
     }
 
@@ -1782,6 +1866,84 @@ mod tests {
             "resumed campaign must not redeploy finished cases"
         );
         assert!(resumed.journal_issues.is_empty(), "{:?}", resumed.journal_issues);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Runs `run_prepared` on the buggy Counter spec, obs stream and
+    /// campaign journal in one fresh directory, on a virtual clock.
+    /// Returns `events.jsonl`, the wall-clock-stripped
+    /// `run-summary.json`, and the sorted names of every file written.
+    fn run_prepared_outputs(tag: &str) -> (String, String, String) {
+        let dir = temp_campaign_dir(tag);
+        let mut cfg = PipelineConfig::default();
+        cfg.por = false;
+        cfg.stop_at_first_bug = false;
+        cfg.clock = Arc::new(mocket_sim::SimClock::new());
+        cfg.obs = mocket_obs::Obs::jsonl_in(&dir).unwrap();
+        cfg.triage.campaign_dir = Some(dir.clone());
+        let p = Pipeline::new(Arc::new(CounterSpec), registry(), cfg).unwrap();
+        let (graph, check_seconds) = p.check();
+        let result = p.run_prepared(graph, check_seconds, || {
+            Box::new(CounterSut { n: 0, buggy: true })
+        });
+        assert!(!result.reports.is_empty());
+        let read = |name: &str| std::fs::read_to_string(dir.join(name)).unwrap();
+        let events = read(mocket_obs::EVENTS_FILE_NAME);
+        // The checker's thread count defaults to the host's cores; it
+        // reaches only this gauge, never the events.
+        let summary = mocket_obs::strip_wall_clock(&read(mocket_obs::RUN_SUMMARY_FILE_NAME))
+            .lines()
+            .filter(|line| !line.trim_start().starts_with("\"metric.checker.workers\""))
+            .collect::<Vec<_>>()
+            .join("\n");
+        let mut files: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        files.sort();
+        let _ = std::fs::remove_dir_all(&dir);
+        (events, summary, files.join("\n") + "\n")
+    }
+
+    /// `run_prepared` is the composition of `prepare`, `run_cases` and
+    /// `write_insights`; golden files (`testdata/run_prepared_counter/`)
+    /// pin what it emits, so regrouping the stages cannot silently
+    /// change a run's events, summary or file set.
+    #[test]
+    fn run_prepared_outputs_match_golden_files() {
+        let (events, summary, files) = run_prepared_outputs("golden");
+        assert_eq!(
+            events,
+            include_str!("../testdata/run_prepared_counter/events.jsonl")
+        );
+        assert_eq!(
+            summary,
+            include_str!("../testdata/run_prepared_counter/run-summary.stripped.json")
+        );
+        assert_eq!(
+            files,
+            include_str!("../testdata/run_prepared_counter/files.txt")
+        );
+    }
+
+    #[test]
+    fn run_cases_alone_writes_no_insight_artifacts() {
+        let dir = temp_campaign_dir("cases-only");
+        let mut cfg = PipelineConfig::default();
+        cfg.por = false;
+        cfg.obs = mocket_obs::Obs::jsonl_in(&dir).unwrap();
+        let p = Pipeline::new(Arc::new(CounterSpec), registry(), cfg).unwrap();
+        let (graph, check_seconds) = p.check();
+        let prepared = p.prepare(&graph);
+        let result = p.run_cases(graph, &prepared, check_seconds, || {
+            Box::new(CounterSut { n: 0, buggy: false })
+        });
+        assert_eq!(result.passed, prepared.paths.len());
+        let files: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert_eq!(files, [mocket_obs::EVENTS_FILE_NAME]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -88,10 +88,13 @@ impl RunConfig {
 /// sleeps taken differs (bounded by `offer_deadline` on the run's
 /// clock).
 pub fn backoff_schedule(config: &RunConfig) -> impl Iterator<Item = Duration> {
-    let cap = config.poll_backoff_max;
-    std::iter::successors(Some(config.poll_backoff.min(cap)), move |&d| {
-        Some((d * 2).min(cap))
-    })
+    capped_doubling(config.poll_backoff, config.poll_backoff_max)
+}
+
+/// `start`, then doubling, never above `cap` — an endless wait
+/// schedule.
+pub(crate) fn capped_doubling(start: Duration, cap: Duration) -> impl Iterator<Item = Duration> {
+    std::iter::successors(Some(start.min(cap)), move |&d| Some((d * 2).min(cap)))
 }
 
 /// Outcome of one controlled run.

@@ -927,8 +927,10 @@ fn cmd_campaign_worker(args: &Args) -> ! {
         eprintln!("worker {worker_id}: mapping issues: {issues:?}");
         std::process::exit(EXIT_PLAN_MISMATCH);
     });
+    // Check and prepare once per worker process; every shard runs a
+    // window of this case set.
     let (graph, check_seconds) = base.check();
-    let (paths, _ec, _ecpor, _excl) = base.generate_paths(&graph);
+    let prepared = base.prepare(&graph);
     let fresh = CampaignPlan {
         target: plan.target.clone(),
         bug: plan.bug.clone(),
@@ -936,7 +938,7 @@ fn cmd_campaign_worker(args: &Args) -> ! {
         max_path_len: plan.max_path_len,
         max_test_cases: plan.max_test_cases,
         shard_size: plan.shard_size,
-        cases: plan_cases(&graph, &paths),
+        cases: plan_cases(&graph, &prepared.paths),
     };
     if let Err(mismatch) = plan.verify_matches(&fresh) {
         eprintln!(
@@ -960,7 +962,7 @@ fn cmd_campaign_worker(args: &Args) -> ! {
         spec_name: &spec_name,
         spec_config: &spec_config,
         run: &run_cfg,
-        paths: &paths,
+        prepared: &prepared,
         check_seconds,
     };
     let build = |setup: &ShardSetup| {

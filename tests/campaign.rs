@@ -259,3 +259,40 @@ fn concurrent_campaign_on_same_dir_fails_fast() {
     drop(lock);
     assert!(run.run(1).success(), "released lock unblocks the campaign");
 }
+
+/// Workers prepare the case set once per process and write no insight
+/// artifacts of their own: `worker-<id>/` holds just the event stream
+/// and the log, with one `generate.done` per worker process (not one
+/// per shard). The campaign's insight artifacts come from the merge.
+#[test]
+fn workers_prepare_once_and_leave_only_events_and_log() {
+    let run = CampaignRun::new("lean-workers");
+    assert!(run.run(2).success(), "campaign must succeed");
+    let supervisor_log = String::from_utf8(run.read("supervisor.log")).unwrap();
+    for id in 0..2 {
+        let worker_dir = run.dir.join(format!("worker-{id}"));
+        let mut files: Vec<String> = std::fs::read_dir(&worker_dir)
+            .unwrap_or_else(|e| panic!("read {}: {e}", worker_dir.display()))
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        files.sort();
+        assert_eq!(files, ["events.jsonl", "worker.log"], "worker-{id}/");
+        let spawns = supervisor_log
+            .lines()
+            .filter(|l| l.starts_with(&format!("spawn worker={id} ")))
+            .count();
+        let events = String::from_utf8(run.read(&format!("worker-{id}/events.jsonl"))).unwrap();
+        let generated = events
+            .lines()
+            .filter(|l| l.contains("\"event\":\"generate.done\""))
+            .count();
+        assert!(spawns >= 1, "worker {id} never spawned:\n{supervisor_log}");
+        assert_eq!(
+            generated, spawns,
+            "worker-{id}: one generate.done per process"
+        );
+    }
+    for name in CANONICAL {
+        assert!(run.dir.join(name).exists(), "merge must write {name}");
+    }
+}
